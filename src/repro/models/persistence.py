@@ -67,6 +67,11 @@ def _scaler_from_dict(payload: dict) -> Scaler:
 
 def model_to_dict(model: NeuralWorkloadModel) -> dict:
     """Serialize a fitted model (hyper-parameters, scalers, networks)."""
+    if not isinstance(model, NeuralWorkloadModel):
+        raise TypeError(
+            "only NeuralWorkloadModel can be serialized, got "
+            f"{type(model).__name__}"
+        )
     if not model.is_fitted:
         raise ValueError("only fitted models can be serialized")
     return {

@@ -106,13 +106,13 @@ class Logistic(Activation):
         self.slope = float(slope)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # e = exp(-|z|) never overflows; each branch is the stable form for
+        # its sign of z (1/(1+e^-z) for z >= 0, e^z/(1+e^z) otherwise).
+        # minimum(z, -z) rather than -abs(z) keeps a NaN input's sign bit.
         z = self.slope * np.asarray(x, dtype=float)
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        e = np.exp(np.minimum(z, -z))
+        d = 1.0 + e
+        return np.where(z >= 0, 1.0 / d, e / d)
 
     def derivative(self, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
         return self.slope * fx * (1.0 - fx)

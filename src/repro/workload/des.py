@@ -68,9 +68,6 @@ class Event:
         """Prevent the callback from running (the heap entry is skipped)."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flag = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time}, seq={self.seq}{flag})"
@@ -128,7 +125,13 @@ class Process:
 
 
 class Simulator:
-    """Event loop: a clock plus a heap of pending events."""
+    """Event loop: a clock plus a heap of pending events.
+
+    The heap holds ``(time, seq, event)`` tuples, so ``heapq`` orders them
+    with C-level float/int comparisons; ``seq`` is unique, so two entries
+    never compare their events.  Cancelled events stay queued and are
+    skipped when they reach the head.
+    """
 
     def __init__(self):
         self.now = 0.0
@@ -145,8 +148,10 @@ class Simulator:
         """Run ``callback`` after ``delay`` simulated time units."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        event = Event(self.now + delay, next(self._seq), callback)
-        heapq.heappush(self._heap, event)
+        time = self.now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, callback)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def spawn(
@@ -168,19 +173,20 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Live (non-cancelled) events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            if event.time < self.now:
+            if time < self.now:
                 raise RuntimeError(
-                    f"event at t={event.time} is before now={self.now}"
+                    f"event at t={time} is before now={self.now}"
                 )
-            self.now = event.time
+            self.now = time
             self.events_executed += 1
             event.callback()
             return True
@@ -196,12 +202,13 @@ class Simulator:
             raise ValueError(
                 f"end_time {end_time} is before current time {self.now}"
             )
-        while self._heap:
-            event = self._heap[0]
+        heap = self._heap
+        while heap:
+            time, _, event = heap[0]
             if event.cancelled:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
-            if event.time > end_time:
+            if time > end_time:
                 break
             self.step()
         self.now = end_time

@@ -8,7 +8,8 @@ the same objects.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Type, Union
+from bisect import bisect_right
+from typing import Dict, List, Sequence, Type, Union
 
 import numpy as np
 
@@ -22,7 +23,24 @@ __all__ = [
     "Hyperexponential",
     "Geometric",
     "get_distribution",
+    "choice_cdf",
 ]
+
+
+def choice_cdf(weights: Sequence[float]) -> List[float]:
+    """Cumulative table for drawing an index with probabilities ``weights``.
+
+    ``bisect.bisect_right(cdf, rng.random())`` returns the index that
+    ``rng.choice(len(weights), p=weights)`` would and consumes the same one
+    double from ``rng``: :meth:`numpy.random.Generator.choice` builds this
+    exact table (``cumsum`` then ``/= cdf[-1]``) and looks up one
+    ``random()`` draw with ``searchsorted(..., side="right")``.  The bisect
+    skips ``choice``'s per-call validation and array setup, which dominate
+    a single draw.
+    """
+    cdf = np.asarray(weights, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 class Distribution:
@@ -161,13 +179,20 @@ class Hyperexponential(Distribution):
         total = sum(weights)
         self.means = means
         self.weights = [w / total for w in weights]
+        self._cdf = choice_cdf(self.weights)
 
     def sample(self, rng):
-        branch = rng.choice(len(self.means), p=self.weights)
+        branch = bisect_right(self._cdf, rng.random())
         return float(rng.exponential(self.means[branch]))
 
     def mean(self):
         return float(sum(w * m for w, m in zip(self.weights, self.means)))
+
+    def __repr__(self) -> str:
+        # Spelled out so the cached ``_cdf`` stays out of the repr.
+        return (
+            f"Hyperexponential(means={self.means!r}, weights={self.weights!r})"
+        )
 
 
 class Geometric(Distribution):

@@ -12,12 +12,13 @@ into concurrent execution, where an exactly-sized pool paces them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, List, Sequence
 
 import numpy as np
 
 from .des import Simulator
-from .distributions import Distribution, Geometric
+from .distributions import Distribution, Geometric, choice_cdf
 from .transactions import Transaction, TransactionClass, validate_mix
 
 __all__ = ["LoadDriver"]
@@ -85,8 +86,10 @@ class LoadDriver:
         ]
         web_weights = np.array([c.mix_weight for c in self._web_classes])
         self._web_share = float(web_weights.sum())
-        self._web_weights = (
-            web_weights / web_weights.sum() if web_weights.size else web_weights
+        self._web_cdf = (
+            choice_cdf(web_weights / web_weights.sum())
+            if web_weights.size
+            else []
         )
         self.transactions: List[Transaction] = []
         self.injected = 0
@@ -129,9 +132,7 @@ class LoadDriver:
             return
         count = max(1, int(round(self.batch_size.sample(self._arrival_rng))))
         for _ in range(count):
-            index = self._mix_rng.choice(
-                len(self._web_classes), p=self._web_weights
-            )
+            index = bisect_right(self._web_cdf, self._mix_rng.random())
             self._spawn(self._web_classes[index])
         self._schedule_web_batch()
 

@@ -63,6 +63,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match="fitted"):
             model_to_dict(NeuralWorkloadModel(hidden=(4,)))
 
+    def test_non_neural_model_rejected_with_type_error(self, tmp_path):
+        from repro.models.rbf import RBFWorkloadModel
+
+        _, x, y = fitted_model()
+        rbf = RBFWorkloadModel(n_centers=10, seed=0).fit(x, y)
+        with pytest.raises(TypeError, match="RBFWorkloadModel"):
+            save_model(rbf, tmp_path / "rbf.json")
+        assert not (tmp_path / "rbf.json").exists()
+
     def test_version_checked(self):
         model, _, _ = fitted_model()
         payload = model_to_dict(model)

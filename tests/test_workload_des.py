@@ -88,6 +88,18 @@ class TestRunUntil:
         sim.run_until(5.0)
         assert sim.pending == 1
 
+    def test_cancelled_events_skipped_and_not_pending(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, lambda: log.append("head")).cancel()
+        sim.schedule(2.0, lambda: log.append("kept"))
+        sim.schedule(8.0, lambda: log.append("late")).cancel()
+        assert sim.pending == 1
+        sim.run_until(5.0)
+        assert log == ["kept"]
+        assert sim.pending == 0
+        assert sim.events_executed == 1
+
 
 class TestRunawayGuard:
     def test_run_raises_on_infinite_loop(self):
