@@ -111,10 +111,11 @@ def main():
                   "corrupt the active artifact ...")
             plan.add(SITE_BATCHER_FLUSH, "latency", latency_s=0.05, count=2)
             plan.add(SITE_REGISTRY_STAT, "corrupt_artifact", count=1)
+            degraded = 0
             for i in range(3):
-                show(f"under faults #{i + 1}",
-                     client.predict_detailed("paper", CONFIG),
-                     client.health())
+                body = client.predict_detailed("paper", CONFIG)
+                degraded += body["degraded"]
+                show(f"under faults #{i + 1}", body, client.health())
             breakers = client.health()["breakers"]
             print(f"  breaker states: {breakers}")
             print("  metrics:",
@@ -127,14 +128,22 @@ def main():
             plan.clear()
             save_model(model, artifact)
             time.sleep(1.2)  # > breaker_reset_timeout: allow the probe
-            show("after recovery",
-                 client.predict_detailed("paper", CONFIG), client.health())
-            print(f"  breaker states: {client.health()['breakers']}")
+            recovered = client.predict_detailed("paper", CONFIG)
+            health = client.health()
+            show("after recovery", recovered, health)
+            print(f"  breaker states: {health['breakers']}")
         finally:
             server.shutdown()
             server.server_close()
-    print("\nDone: degraded 2xx under chaos, full recovery after redeploy.")
+    if not degraded or breakers != {"paper": "open"}:
+        print("FAIL: faults neither opened the breaker nor degraded answers")
+        return 1
+    if recovered["source"] != "mlp" or health["status"] != "healthy":
+        print("FAIL: the MLP path did not recover after the redeploy")
+        return 1
+    print("\nPASS: degraded 2xx under chaos, full recovery after redeploy.")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

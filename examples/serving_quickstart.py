@@ -103,7 +103,15 @@ def main():
 
         server.shutdown()
         server.server_close()
+    if metrics["cache"]["hit_rate"] <= 0:
+        print("FAIL: repeated sweeps never hit the prediction cache")
+        return 1
+    if delta == 0:
+        print("FAIL: the overwritten artifact was not hot-reloaded")
+        return 1
+    print("\nPASS: served over HTTP, cached repeats, hot-reloaded.")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

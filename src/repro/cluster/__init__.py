@@ -15,9 +15,9 @@ full outage.  This package moves inference into N supervised worker
   budget, and drains gracefully.
 * :mod:`~repro.cluster.router` — rendezvous-hashes model names onto the
   ready workers, with wider replica sets for hot models.
-* :mod:`~repro.cluster.engine` — the ``ServingEngine``-compatible facade:
-  admission control, primary → sibling → surrogate failover, and trace
-  propagation across the process boundary.
+* :mod:`~repro.cluster.engine` — the worker-pool executor (primary →
+  sibling failover, trace propagation across the process boundary) and
+  ``ClusterEngine``, the serving engine built over it.
 """
 
 from .engine import ClusterEngine

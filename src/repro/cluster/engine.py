@@ -1,32 +1,25 @@
-"""The multi-process serving engine: router + supervisor + degradation.
+"""The worker-pool executor, and :class:`ClusterEngine` built on it.
 
-:class:`ClusterEngine` is interface-compatible with
-:class:`~repro.serving.engine.ServingEngine` — the HTTP server, the
-tuning engine, and the lifecycle tap all run unchanged on top of it — but
-predictions execute in supervised worker *processes* instead of the
+:class:`ClusterEngine` is a :class:`~repro.serving.engine.ServingEngine`
+whose predictions execute in supervised worker *processes* instead of the
 request thread, so the GIL stops being the throughput ceiling and a dead
-worker stops being an outage.
+worker stops being an outage.  Admission, tracing, the surrogate tier,
+the observer tap and draining are the engine's; after admission a request
+goes through :class:`WorkerPoolExecutor`, in failure order:
 
-The request path, in failure order:
-
-1. **Admission** — identical to the in-process engine: draining sheds
-   with 503 semantics, the hard in-flight bound sheds, the soft bound
-   shortcuts to the surrogate tier.
-2. **Routing** — the rendezvous router orders the ready workers into the
-   model's replica set (wider for hot models).
-3. **Primary call** — one framed round trip to the first replica.  The
-   worker's own predict/handle timings come back in the response header
-   and are re-recorded as ``worker.execute`` spans in the request's
-   trace (trace context crossed the process boundary in the frame).
-4. **Sibling failover** — a transport failure (SIGKILL mid-flight, wedge
+1. **Routing** — the rendezvous router orders the ready workers into the
+   model's replica set.
+2. **Primary call** — one framed round trip to the top-ranked replica.
+   The worker's own predict timing comes back in the response header and
+   is re-recorded as a ``worker.execute`` span in the request's trace
+   (trace context crossed the process boundary in the frame).
+3. **Sibling failover** — a transport failure (SIGKILL mid-flight, wedge
    timeout, poisoned channel) retries the request once on the next
    replica, which preloaded the same artifacts and is warm.  Only the
-   failed worker's in-flight requests pay; everyone else is insulated
-   (bulkhead).
-5. **Degraded surrogate** — when every replica fails, or no worker is
-   ready at all (restart budget exhausted → supervisor gave up), the
-   locally distilled linear surrogate answers, flagged ``degraded`` —
-   the same contract the reliability layer established: a 2xx with
+   failed worker's in-flight requests pay (bulkhead).
+4. **Degraded surrogate** — when every replica fails, or no worker is
+   ready at all (restart budget exhausted), the engine's locally
+   distilled linear surrogate answers, flagged ``degraded``: a 2xx with
    honest provenance beats a connection reset.
 
 Worker-side errors that are really *caller* errors (unknown model, bad
@@ -36,371 +29,115 @@ a sibling would only repeat them.
 
 from __future__ import annotations
 
-import threading
-import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
 from ..observability.trace import NOOP_SPAN, Tracer
-from ..reliability.degradation import (
-    HealthMonitor,
-    OverloadedError,
-    fit_linear_surrogate,
-)
+from ..reliability.degradation import OverloadedError
 from ..reliability.policies import Deadline, DeadlineExceeded
-from ..serving.engine import PredictionResult, validate_config_matrix
-from ..serving.metrics import ServingMetrics
+from ..serving.engine import PredictionResult, ServingEngine
 from ..serving.registry import ModelRegistry
 from ..workload.service import OUTPUT_NAMES
 from .protocol import ProtocolError, WorkerCallError, pack_array, unpack_array
 from .router import RendezvousRouter
-from .supervisor import FAILED, READY, WorkerSupervisor
+from .supervisor import READY, WorkerSupervisor
 
-__all__ = ["ClusterEngine"]
+__all__ = ["ClusterEngine", "WorkerPoolExecutor"]
 
-_SURROGATE_SOURCE = "surrogate:linear"
-
-
-class _Surrogate:
-    __slots__ = ("mtime_ns", "model")
-
-    def __init__(self, mtime_ns: int, model) -> None:
-        self.mtime_ns = mtime_ns
-        self.model = model
+#: Workers tried per request: the primary and one sibling.
+_CALL_CANDIDATES = 2
 
 
-class ClusterEngine:
-    """Serve predictions from a supervised pool of worker processes.
+class WorkerPoolExecutor:
+    """Run predictions in a supervised pool of worker processes.
 
-    Parameters
-    ----------
-    models_dir:
-        Artifact directory shared by the local registry (surrogates,
-        tuning) and every worker (primary inference).
-    workers:
-        Worker-process pool size.
-    replication / hot_replication / hot_share / hot_min_requests:
-        Router knobs (see :class:`~repro.cluster.router.RendezvousRouter`).
-    failover_retries:
-        Sibling attempts after the primary fails at the transport level.
-    call_timeout:
-        Per-call budget on a worker round trip (clamped by any request
-        deadline).  A worker silent past this is treated as failed and
-        the request fails over.
-    fallback:
-        Distill a linear surrogate per model (at startup, refreshed on
-        artifact change) and answer from it, flagged degraded, when the
-        worker path is exhausted.
-    max_inflight / shed_inflight / retry_after_s:
-        Admission control, same semantics as the in-process engine.
-    worker_faults:
-        Optional :class:`~repro.reliability.faults.FaultPlan` (or its
-        dict form) shipped to every worker — the ``worker.handle`` kill
-        points for chaos tests.
-    tracing / tracer / trace_sample_rate / slow_trace_ms / trace_export:
-        Observability wiring, identical to ``ServingEngine``.
-    observer:
-        Traffic tap ``observer(model, configs, outputs, source)`` — the
-        lifecycle observation hook, called after every success.
-    supervisor_options:
-        Extra keyword arguments forwarded to
-        :class:`~repro.cluster.supervisor.WorkerSupervisor` (heartbeat,
-        backoff, and budget knobs — the chaos tests tighten these).
+    The engine's local registry only feeds the surrogate tier; every
+    worker loads its own copy of the artifacts.
     """
+
+    span_name = "cluster.predict"
 
     def __init__(
         self,
+        engine: ServingEngine,
         models_dir: Union[str, Path],
-        workers: int = 4,
-        replication: int = 2,
-        hot_replication: int = 0,
-        hot_share: float = 0.5,
-        hot_min_requests: int = 256,
-        failover_retries: int = 1,
-        call_timeout: float = 10.0,
-        fallback: bool = True,
-        max_inflight: Optional[int] = None,
-        shed_inflight: Optional[int] = None,
-        retry_after_s: float = 1.0,
-        worker_faults=None,
-        tracing: bool = True,
-        tracer: Optional[Tracer] = None,
-        trace_sample_rate: float = 1.0,
-        slow_trace_ms: Optional[float] = 500.0,
-        trace_export: Optional[Union[str, Path]] = None,
-        observer: Optional[
-            Callable[[str, np.ndarray, np.ndarray, str], None]
-        ] = None,
-        metrics: Optional[ServingMetrics] = None,
-        supervisor_options: Optional[dict] = None,
+        workers: int,
+        replication: int,
+        call_timeout: float,
+        worker_faults,
+        supervisor_options: Optional[dict],
     ):
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        if shed_inflight is not None and shed_inflight < 1:
-            raise ValueError(f"shed_inflight must be >= 1, got {shed_inflight}")
-        if failover_retries < 0:
-            raise ValueError(
-                f"failover_retries must be >= 0, got {failover_retries}"
-            )
-        self.registry = ModelRegistry(models_dir)
-        self.fallback = bool(fallback)
-        self.failover_retries = int(failover_retries)
         self.call_timeout = float(call_timeout)
-        self.max_inflight = max_inflight
-        self.shed_inflight = shed_inflight
-        self.retry_after_s = float(retry_after_s)
-        self.observer = observer
-        self.metrics = metrics if metrics is not None else ServingMetrics()
-        self.health_monitor = HealthMonitor()
-        self._exporter = None
-        if not tracing:
-            self.tracer: Optional[Tracer] = None
-        elif tracer is not None:
-            self.tracer = tracer
-            if self.tracer.on_span_end is None:
-                self.tracer.on_span_end = self.metrics.span_observer()
-        else:
-            if trace_export is not None:
-                from ..observability.trace import JsonlSpanExporter
-
-                self._exporter = JsonlSpanExporter(trace_export)
-            self.tracer = Tracer(
-                sample_rate=trace_sample_rate,
-                slow_threshold_s=(
-                    None if slow_trace_ms is None else slow_trace_ms / 1000.0
-                ),
-                exporter=self._exporter,
-                on_span_end=self.metrics.span_observer(),
-            )
-        if self.tracer is not None and self.registry.tracer is None:
-            self.registry.tracer = self.tracer
-        self.router = RendezvousRouter(
-            replication=replication,
-            hot_replication=hot_replication,
-            hot_share=hot_share,
-            hot_min_requests=hot_min_requests,
-        )
+        self.router = RendezvousRouter(replication=replication)
         self.supervisor = WorkerSupervisor(
             models_dir,
             n_workers=workers,
             worker_faults=worker_faults,
-            metrics=self.metrics,
+            metrics=engine.metrics,
             **(supervisor_options or {}),
         )
-        # ServingEngine interface parity for the HTTP layer's /models:
-        # cross-request micro-batching happens per HTTP request already
-        # (multi-config bodies are one vectorized worker call).
-        self.batching = False
-        self.max_batch_size = 0
-        self.max_wait_ms = 0.0
-        self._surrogates: Dict[str, _Surrogate] = {}
-        self._inflight = 0
-        self._lock = threading.Lock()
-        self._draining = False
-        self._closed = False
+        self.engine = engine
         self._started = False
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> "ClusterEngine":
+    def start(self) -> None:
         """Spawn the worker pool and pre-distill the surrogate tier."""
         if self._started:
-            return self
+            return
         self.supervisor.start()
         self._started = True
-        if self.fallback:
-            for name in self.registry.list_models():
-                self._surrogate_for(name)
-        return self
+        for name in self.engine.list_models():
+            self.engine.refresh_surrogate(name)
 
-    @property
-    def draining(self) -> bool:
-        with self._lock:
-            return self._draining
-
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
-
-    def drain(self, timeout: float = 10.0) -> None:
-        """Stop admission, let in-flight requests finish, drain workers."""
-        with self._lock:
-            if self._draining:
-                return
-            self._draining = True
-        deadline = time.monotonic() + max(0.0, float(timeout))
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self._inflight == 0:
-                    break
-            time.sleep(0.005)
-        self.supervisor.drain(timeout=max(0.1, deadline - time.monotonic()))
-        if self._exporter is not None:
-            self._exporter.close()
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-        self.supervisor.stop()
-        if self._exporter is not None:
-            self._exporter.close()
-
-    def __enter__(self) -> "ClusterEngine":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def describe(self) -> dict:
+        # Cross-request micro-batching happens per HTTP request already:
+        # a multi-config body is one vectorized worker call.
+        return {"batching": False, "max_batch_size": 0, "max_wait_ms": 0.0}
 
     # ------------------------------------------------------------------
-    # serving interface
-    # ------------------------------------------------------------------
-
-    def list_models(self) -> List[str]:
-        return self.registry.list_models()
-
-    def reload(self, model_name: str) -> None:
-        """Refresh the local registry/surrogate and nudge every worker.
-
-        Workers hot-reload on their own (their registries re-check the
-        artifact mtime per request), so the forward is best-effort — a
-        worker mid-restart simply loads the new version at startup,
-        which is the property the lifecycle promote path relies on.
-        """
-        self.registry.reload(model_name)
-        self._surrogates.pop(model_name, None)
-        if self.fallback:
-            self._surrogate_for(model_name)
-        for worker_id in self.supervisor.ready_ids():
-            try:
-                self.supervisor.call(
-                    worker_id,
-                    {"op": "reload", "model": model_name},
-                    timeout=self.call_timeout,
-                )
-            except WorkerCallError:
-                continue
 
     def predict(
-        self,
-        model_name: str,
-        configs: Sequence[Sequence[float]],
-        deadline: Optional[Deadline] = None,
-    ) -> np.ndarray:
-        return self.predict_detailed(model_name, configs, deadline).outputs
-
-    def predict_one(
-        self, model_name: str, config: Sequence[float]
-    ) -> np.ndarray:
-        return self.predict(model_name, [config])[0]
-
-    def predict_detailed(
-        self,
-        model_name: str,
-        configs: Sequence[Sequence[float]],
-        deadline: Optional[Deadline] = None,
-    ) -> PredictionResult:
-        """Route one prediction through the cluster (see module docs).
-
-        Raises :class:`OverloadedError` when shed, :class:`KeyError` for
-        unknown models, :class:`DeadlineExceeded` when the budget dies,
-        and the last transport error only when no surrogate can answer.
-        """
-        if not self._started:
-            raise RuntimeError(
-                "ClusterEngine.start() must run before predict()"
-            )
-        start = time.perf_counter()
-        span = (
-            self.tracer.start_span("cluster.predict")
-            if self.tracer is not None
-            else NOOP_SPAN
-        )
-        with span:
-            x = validate_config_matrix(configs)
-            if span is not NOOP_SPAN:
-                span.set_attribute("model", model_name)
-                span.set_attribute("n_configs", int(x.shape[0]))
-            with self._lock:
-                if self._draining or self._closed:
-                    self.metrics.record_shed()
-                    raise OverloadedError(
-                        retry_after=self.retry_after_s,
-                        message="cluster engine is draining",
-                    )
-                self._inflight += 1
-                inflight = self._inflight
-            try:
-                if (
-                    self.shed_inflight is not None
-                    and inflight > self.shed_inflight
-                ):
-                    self.metrics.record_shed()
-                    raise OverloadedError(retry_after=self.retry_after_s)
-                soft_overloaded = (
-                    self.max_inflight is not None
-                    and inflight > self.max_inflight
-                )
-                self.router.record(model_name)
-                result = self._predict_routed(
-                    model_name, x, deadline, soft_overloaded
-                )
-            finally:
-                with self._lock:
-                    self._inflight -= 1
-            if result.degraded:
-                self.metrics.record_degraded()
-            if span is not NOOP_SPAN:
-                span.set_attribute("source", result.source)
-        if self.observer is not None:
-            try:
-                self.observer(model_name, x, result.outputs, result.source)
-            except Exception:  # noqa: BLE001 - capture must never fail serving
-                pass
-        self.metrics.record_request(x.shape[0], time.perf_counter() - start)
-        return result
-
-    # ------------------------------------------------------------------
-
-    def _predict_routed(
         self,
         model_name: str,
         x: np.ndarray,
         deadline: Optional[Deadline],
         soft_overloaded: bool,
     ) -> PredictionResult:
+        """Route one prediction through the pool (see module docs).
+
+        Raises :class:`KeyError` for unknown models,
+        :class:`DeadlineExceeded` when the budget dies, and the last
+        transport error only when no surrogate can answer.
+        """
+        if not self._started:
+            raise RuntimeError(
+                "ClusterEngine.start() must run before predict()"
+            )
+        engine = self.engine
+        self.router.record(model_name)
         if deadline is not None:
             deadline.check("cluster predict")
-        surrogate = (
-            self._surrogate_for(model_name) if self.fallback else None
-        )
-        if soft_overloaded and surrogate is not None:
-            return self._answer_degraded(model_name, x, surrogate)
-        if model_name not in self.registry:
+        engine.refresh_surrogate(model_name)
+        if model_name not in engine.registry:
             raise KeyError(f"unknown model {model_name!r}")
         replicas = self.router.replicas(
             model_name, self.supervisor.ready_ids()
         )
         payload = pack_array(x)
         last_error: Optional[BaseException] = None
-        for attempt, worker_id in enumerate(
-            replicas[: 1 + self.failover_retries]
-        ):
+        for attempt, worker_id in enumerate(replicas[:_CALL_CANDIDATES]):
             if attempt > 0:
-                self.metrics.record_worker_failover()
+                engine.metrics.record_worker_failover()
             try:
                 return self._call_worker(
                     model_name, x, payload, worker_id, attempt, deadline
                 )
             except (WorkerCallError, _WorkerSideError) as exc:
                 last_error = exc
-                continue
-        if surrogate is not None:
-            return self._answer_degraded(model_name, x, surrogate)
+        degraded = engine.answer_degraded(model_name, x)
+        if degraded is not None:
+            return degraded
         if last_error is not None:
             raise (
                 last_error.cause
@@ -408,7 +145,7 @@ class ClusterEngine:
                 else last_error
             )
         raise OverloadedError(
-            retry_after=self.retry_after_s,
+            retry_after=engine.retry_after_s,
             message=(
                 f"no ready workers for model {model_name!r} and no "
                 "surrogate fallback"
@@ -439,7 +176,7 @@ class ClusterEngine:
                 )
             header["deadline_ms"] = max(1.0, remaining * 1000.0)
             timeout = deadline.clamp(timeout)
-        tracer = self.tracer
+        tracer = self.engine.tracer
         call_span = (
             tracer.start_span(
                 "worker.call",
@@ -511,84 +248,56 @@ class ClusterEngine:
             outputs, degraded=False, source=f"worker:{worker_id}"
         )
 
-    def _answer_degraded(
-        self, model_name: str, x: np.ndarray, surrogate: _Surrogate
-    ) -> PredictionResult:
-        span = (
-            self.tracer.start_span(
-                "fallback.surrogate", attributes={"model": model_name}
-            )
-            if self.tracer is not None
-            else NOOP_SPAN
-        )
-        with span:
-            outputs = np.asarray(surrogate.model.predict(x), dtype=float)
-        return PredictionResult(outputs, degraded=True, source=_SURROGATE_SOURCE)
-
-    def _surrogate_for(self, model_name: str) -> Optional[_Surrogate]:
-        """The distilled fallback for ``model_name``, refreshed on change.
-
-        Best-effort by design: a stale surrogate is better than none, and
-        none is better than an exception on the degradation path.
-        """
-        current = self._surrogates.get(model_name)
-        try:
-            entry = self.registry.get_entry(model_name)
-        except Exception:  # noqa: BLE001 - artifact gone/corrupt: keep stale
-            return current
-        if current is not None and current.mtime_ns == entry.mtime_ns:
-            return current
-        try:
-            surrogate = _Surrogate(
-                entry.mtime_ns, fit_linear_surrogate(entry.model)
-            )
-        except Exception:  # noqa: BLE001 - fallback is best-effort
-            return current
-        with self._lock:
-            self._surrogates[model_name] = surrogate
-        return surrogate
-
     # ------------------------------------------------------------------
-    # health
+    # health and lifecycle
     # ------------------------------------------------------------------
 
-    def health(self) -> dict:
-        """The ``/healthz`` payload: worker pool state as the evidence.
+    def health(self, models: List[str], fallbacks: List[str]):
+        """Worker states folded in as pseudo breakers.
 
-        Worker states are folded into the health monitor as pseudo
-        breaker inputs (a not-ready worker reads as a tripped path), so
-        the ``healthy/degraded/unhealthy`` contract — and its transition
-        log — is exactly the one the single-process engine exposes.
+        A not-ready worker reads as a tripped path, so the
+        ``healthy/degraded/unhealthy`` contract — and its transition log —
+        is exactly the one the in-process executor's breakers drive.
         """
         status = self.supervisor.status()
-        with self._lock:
-            inflight = self._inflight
-            draining = self._draining
-            surrogates = sorted(self._surrogates)
-        shedding = (
-            self.shed_inflight is not None and inflight > self.shed_inflight
-        )
         worker_paths = {
             f"worker:{w['worker']}": (
                 "closed" if w["state"] == READY else "open"
             )
             for w in status["workers"]
         }
-        servable = status["ready"] > 0 or (self.fallback and bool(surrogates))
-        health_status = self.health_monitor.update(
-            worker_paths, shedding=shedding, servable=servable
-        )
-        return {
-            "status": health_status,
-            "models": len(self.list_models()),
+        servable = status["ready"] > 0 or bool(fallbacks)
+        return worker_paths, servable, {
             "workers": status["workers"],
             "ready_workers": status["ready"],
             "failed_workers": status["failed"],
             "worker_restarts_total": status["restarts_total"],
-            "fallbacks": surrogates,
-            "inflight": inflight,
-            "draining": draining,
         }
+
+    def reload(self, model_name: str) -> None:
+        """Refresh the surrogate and nudge every worker.
+
+        Workers hot-reload on their own (their registries re-check the
+        artifact mtime per request), so the forward is best-effort — a
+        worker mid-restart simply loads the new version at startup,
+        which is the property the lifecycle promote path relies on.
+        """
+        self.engine.refresh_surrogate(model_name)
+        for worker_id in self.supervisor.ready_ids():
+            try:
+                self.supervisor.call(
+                    worker_id,
+                    {"op": "reload", "model": model_name},
+                    timeout=self.call_timeout,
+                )
+            except WorkerCallError:
+                continue
+
+    def drain(self, timeout: float) -> None:
+        self.supervisor.drain(timeout=timeout)
+
+    def close(self) -> None:
+        self.supervisor.stop()
 
 
 class _WorkerSideError(Exception):
@@ -597,3 +306,74 @@ class _WorkerSideError(Exception):
     def __init__(self, cause: BaseException):
         self.cause = cause
         super().__init__(str(cause))
+
+
+class ClusterEngine(ServingEngine):
+    """A :class:`ServingEngine` over a supervised pool of worker processes.
+
+    Parameters
+    ----------
+    models_dir:
+        Artifact directory shared by the local registry (surrogates,
+        tuning) and every worker (primary inference).
+    workers:
+        Worker-process pool size.
+    replication:
+        Replica-set size per model (see
+        :class:`~repro.cluster.router.RendezvousRouter`); a request tries
+        the top-ranked ready replica, then one sibling.
+    call_timeout:
+        Per-call budget on a worker round trip (clamped by any request
+        deadline).  A worker silent past this is treated as failed and
+        the request fails over.
+    worker_faults:
+        Optional :class:`~repro.reliability.faults.FaultPlan` (or its
+        dict form) shipped to every worker — the ``worker.handle`` kill
+        points for chaos tests.
+    supervisor_options:
+        Extra keyword arguments forwarded to
+        :class:`~repro.cluster.supervisor.WorkerSupervisor` (heartbeat,
+        backoff, and budget knobs — the chaos tests tighten these).
+    fallback / max_inflight / shed_inflight / retry_after_s / observer /
+    tracing / tracer / trace_sample_rate / slow_trace_ms / trace_export:
+        As in :class:`ServingEngine`; the surrogate is distilled for every
+        model at :meth:`start` and answers when the worker path is
+        exhausted.
+    """
+
+    def __init__(
+        self,
+        models_dir: Union[str, Path],
+        workers: int = 4,
+        replication: int = 2,
+        call_timeout: float = 10.0,
+        fallback: bool = True,
+        max_inflight: Optional[int] = None,
+        shed_inflight: Optional[int] = None,
+        retry_after_s: float = 1.0,
+        worker_faults=None,
+        tracing: bool = True,
+        tracer: Optional[Tracer] = None,
+        trace_sample_rate: float = 1.0,
+        slow_trace_ms: Optional[float] = 500.0,
+        trace_export: Optional[Union[str, Path]] = None,
+        observer: Optional[
+            Callable[[str, np.ndarray, np.ndarray, str], None]
+        ] = None,
+        supervisor_options: Optional[dict] = None,
+    ):
+        self._setup(
+            ModelRegistry(models_dir), fallback, max_inflight, shed_inflight,
+            retry_after_s, observer, tracing, tracer, trace_sample_rate,
+            slow_trace_ms, trace_export,
+        )
+        self.executor = WorkerPoolExecutor(
+            self, models_dir, workers, replication, call_timeout,
+            worker_faults, supervisor_options,
+        )
+        self.supervisor = self.executor.supervisor
+        self.router = self.executor.router
+
+    def drain(self, timeout: float = 10.0) -> None:
+        """As :meth:`ServingEngine.drain`; the workers drain within it."""
+        super().drain(timeout)

@@ -21,6 +21,7 @@ it would double-count observations and metrics on whatever replaces it.
 from __future__ import annotations
 
 import json
+import socket
 import uuid
 from typing import Dict, List, Optional, Sequence, Union
 from urllib.error import HTTPError, URLError
@@ -85,6 +86,14 @@ def _is_retryable(exc: BaseException) -> bool:
         # happened, so this failure is not safely replayable.
         return False
     return isinstance(exc, (URLError, ConnectionError, TimeoutError))
+
+
+def _is_timeout(exc: BaseException) -> bool:
+    # urlopen raises a connect timeout wrapped in URLError, a read
+    # timeout bare; socket.timeout is TimeoutError from Python 3.10 on.
+    return isinstance(exc, socket.timeout) or isinstance(
+        getattr(exc, "reason", None), socket.timeout
+    )
 
 
 class ServingClient:
@@ -333,6 +342,19 @@ class ServingClient:
                     raise TruncatedResponseError(
                         f"connection lost mid-response on {method} {path}: "
                         f"{type(exc).__name__}: {exc}",
+                        request_id=request_id,
+                    ) from exc
+                if (
+                    deadline is not None
+                    and deadline.expired
+                    and _is_timeout(exc)
+                ):
+                    # The socket timeout is the same budget the server
+                    # got in X-Deadline-Ms, so the client often gives up
+                    # just before the server's 504 arrives: answer the
+                    # way the server would have.
+                    raise ServingError(
+                        504, "client deadline exhausted",
                         request_id=request_id,
                     ) from exc
                 raise

@@ -1,35 +1,36 @@
-"""The in-process serving engine: registry + cache + batchers + reliability.
+"""The serving engine: one admission, tracing and fallback layer, two executors.
 
 :class:`ServingEngine` is the piece every front end shares — the HTTP
-server, the benchmark, and embedded callers all route queries through it.
-Each query first consults the :class:`~repro.serving.cache.PredictionCache`
-(exact repeats skip the network entirely), then either goes through that
-model's :class:`~repro.serving.batcher.MicroBatcher` (coalescing with
-concurrent callers) or straight into one vectorized ``predict`` when
-batching is off.  All traffic is counted in
-:class:`~repro.serving.metrics.ServingMetrics`.
+server, the tuning engine, the benchmark, and embedded callers all route
+queries through it.  It owns everything that does not depend on where the
+forward pass runs:
 
-The engine is also where the reliability layer lives:
+* admission control: a draining engine sheds, load past the hard bound
+  sheds with :class:`~repro.reliability.degradation.OverloadedError`
+  (HTTP 503 + ``Retry-After``), and load past the soft bound is answered
+  by the surrogate tier instead of queueing;
+* the root span of every request, and the tracer/exporter wiring;
+* the surrogate tier: a linear surrogate distilled from each model's
+  artifact (refit when its mtime changes) answers, flagged *degraded*,
+  when the primary path cannot — a degraded 2xx instead of an error;
+* the observer tap, the request counters, the drain wait, ``close``, and
+  the shared ``/healthz`` fields.
 
-* a per-model :class:`~repro.reliability.policies.CircuitBreaker` guards
-  the MLP path — repeated artifact/model failures open it, and recovery is
-  probed half-open before trusting the path again;
-* a linear surrogate is distilled from every model at registration (first
-  successful load) and answers in the MLP's place when the primary path
-  fails, the breaker is open, or the admission queue is past its soft
-  bound — callers see a *degraded* 2xx instead of an error;
-* admission control sheds load past the hard bound with
-  :class:`~repro.reliability.degradation.OverloadedError` (HTTP 503 +
-  ``Retry-After``), and a
-  :class:`~repro.reliability.degradation.HealthMonitor` turns breaker +
-  shedding state into the ``healthy/degraded/unhealthy`` answer on
-  ``/healthz``;
-* an optional :class:`~repro.reliability.policies.Deadline` rides each
-  request from the client through here into the batcher wait.
+Where a prediction runs is an *executor*: :class:`InProcessExecutor`
+(cache → micro-batcher or direct ``predict``, behind a per-model
+:class:`~repro.reliability.policies.CircuitBreaker`) or the worker pool
+of :mod:`repro.cluster.engine`.  An executor is built with its engine,
+has a ``span_name`` for the root span, and the methods
+``predict(model_name, x, deadline, soft_overloaded)`` (on a primary
+failure it returns :meth:`ServingEngine.answer_degraded` when that is not
+``None``), ``health(models, fallbacks)`` → ``(paths, servable,
+evidence)``, ``describe()`` (its ``/models`` fields), ``start()``,
+``reload(name)``, ``drain(timeout)`` and ``close()``.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -67,30 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..models.linear import LinearWorkloadModel
     from ..reliability.faults import FaultPlan
 
-__all__ = ["ServingEngine", "PredictionResult", "validate_config_matrix"]
+__all__ = ["ServingEngine", "InProcessExecutor", "PredictionResult"]
 
 _SURROGATE_SOURCE = "surrogate:linear"
-
-
-def validate_config_matrix(configs: Sequence[Sequence[float]]) -> np.ndarray:
-    """Coerce ``configs`` to a validated ``(n, len(INPUT_NAMES))`` matrix.
-
-    The one admission contract every engine front end shares (in-process
-    :class:`ServingEngine` and the multi-process cluster engine alike):
-    two-dimensional, the paper's input order, finite floats.  Raises
-    :class:`ValueError` otherwise.
-    """
-    x = np.asarray(configs, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if x.ndim != 2 or x.shape[1] != len(INPUT_NAMES):
-        raise ValueError(
-            f"configs must be (n, {len(INPUT_NAMES)}) in "
-            f"{INPUT_NAMES} order, got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("configs must be finite numbers")
-    return x
 
 
 @dataclass
@@ -113,6 +93,9 @@ class _Surrogate:
 class ServingEngine:
     """Serve predictions from every model in a registry directory.
 
+    Predictions run in-process (:class:`InProcessExecutor`);
+    :class:`~repro.cluster.engine.ClusterEngine` runs them in a worker pool.
+
     Parameters
     ----------
     registry:
@@ -124,8 +107,8 @@ class ServingEngine:
         *within* a multi-config request).
     max_batch_size / max_wait_ms:
         Micro-batcher knobs (see :class:`~repro.serving.batcher.MicroBatcher`).
-    cache_size / cache_decimals:
-        Prediction-cache knobs; ``cache_size=0`` disables caching.
+    cache_size:
+        Prediction-cache size; ``0`` disables caching.
     fallback:
         Distill a linear surrogate from each model at registration and
         answer from it (flagged *degraded*) when the MLP path fails.
@@ -137,8 +120,7 @@ class ServingEngine:
         Hard admission bound: above this many concurrent requests the
         engine sheds with :class:`OverloadedError` (→ 503 + Retry-After).
         ``None`` disables shedding.
-    breaker_window / breaker_failure_threshold / breaker_min_samples /
-    breaker_reset_timeout:
+    breaker_window / breaker_min_samples / breaker_reset_timeout:
         Per-model :class:`CircuitBreaker` knobs.
     retry_after_s:
         The ``Retry-After`` hint attached to shed requests.
@@ -163,9 +145,9 @@ class ServingEngine:
         metrics' per-stage histograms; pass ``tracer`` to share one
         across components, or ``tracing=False`` to disable spans
         entirely.  Every predict emits an ``engine.predict`` span with
-        ``cache.lookup``, ``batcher.queue_wait`` / ``batcher.execute``
-        (or ``model.predict``), ``registry.load`` and
-        ``fallback.surrogate`` children as the request exercises them.
+        ``cache.lookup``, ``batcher.queue_wait`` / ``batcher.execute``,
+        ``registry.load`` and ``fallback.surrogate`` children as the
+        request exercises them.
     integrity:
         Optional :class:`~repro.durability.integrity.IntegrityGuard`
         attached to the registry: artifacts are sha256-verified on every
@@ -181,12 +163,10 @@ class ServingEngine:
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
         cache_size: int = 1024,
-        cache_decimals: int = 6,
         fallback: bool = True,
         max_inflight: Optional[int] = None,
         shed_inflight: Optional[int] = None,
         breaker_window: int = 10,
-        breaker_failure_threshold: float = 0.5,
         breaker_min_samples: int = 3,
         breaker_reset_timeout: float = 5.0,
         retry_after_s: float = 1.0,
@@ -206,29 +186,56 @@ class ServingEngine:
             registry = ModelRegistry(registry, faults=faults)
         if integrity is not None:
             registry.integrity = integrity
-        self.registry = registry
-        self.batching = bool(batching)
-        self.max_batch_size = int(max_batch_size)
-        self.max_wait_ms = float(max_wait_ms)
-        self.fallback = bool(fallback)
+        self._setup(
+            registry, fallback, max_inflight, shed_inflight, retry_after_s,
+            observer, tracing, tracer, trace_sample_rate, slow_trace_ms,
+            trace_export,
+        )
+        self.executor = InProcessExecutor(
+            self,
+            batching=batching,
+            max_batch_size=max_batch_size,
+            max_wait_ms=max_wait_ms,
+            cache_size=cache_size,
+            faults=faults,
+            new_breaker=functools.partial(
+                CircuitBreaker,
+                window=breaker_window,
+                min_samples=breaker_min_samples,
+                reset_timeout=breaker_reset_timeout,
+                clock=clock,
+            ),
+        )
+        self.cache = self.metrics.cache = self.executor.cache
+        if integrity is not None and integrity.metrics is None:
+            integrity.metrics = self.metrics
+
+    def _setup(
+        self,
+        registry: ModelRegistry,
+        fallback: bool,
+        max_inflight: Optional[int],
+        shed_inflight: Optional[int],
+        retry_after_s: float,
+        observer,
+        tracing: bool,
+        tracer: Optional[Tracer],
+        trace_sample_rate: float,
+        slow_trace_ms: Optional[float],
+        trace_export: Optional[Union[str, Path]],
+    ) -> None:
+        """Wire the executor-independent half; the executor comes next."""
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if shed_inflight is not None and shed_inflight < 1:
             raise ValueError(f"shed_inflight must be >= 1, got {shed_inflight}")
+        self.registry = registry
+        self.fallback = bool(fallback)
         self.max_inflight = max_inflight
         self.shed_inflight = shed_inflight
-        self.breaker_window = int(breaker_window)
-        self.breaker_failure_threshold = float(breaker_failure_threshold)
-        self.breaker_min_samples = int(breaker_min_samples)
-        self.breaker_reset_timeout = float(breaker_reset_timeout)
         self.retry_after_s = float(retry_after_s)
-        self.clock = clock
-        self.faults = faults
         self.observer = observer
-        self.cache = PredictionCache(cache_size, decimals=cache_decimals)
-        self.metrics = ServingMetrics(cache=self.cache)
-        if integrity is not None and integrity.metrics is None:
-            integrity.metrics = self.metrics
+        self.metrics = ServingMetrics()
         self.health_monitor = HealthMonitor()
         self._exporter: Optional[JsonlSpanExporter] = None
         if not tracing:
@@ -251,10 +258,7 @@ class ServingEngine:
         # The registry traces its (rare) artifact loads into the same tree.
         if self.tracer is not None and self.registry.tracer is None:
             self.registry.tracer = self.tracer
-        self._batchers: Dict[str, MicroBatcher] = {}
-        self._breakers: Dict[str, CircuitBreaker] = {}
         self._surrogates: Dict[str, _Surrogate] = {}
-        self._seen_mtimes: Dict[str, int] = {}
         self._inflight = 0
         self._lock = threading.Lock()
         self._closed = False
@@ -289,32 +293,36 @@ class ServingEngine:
     ) -> PredictionResult:
         """Like :meth:`predict` but reports whether a fallback answered.
 
-        Raises :class:`OverloadedError` when the hard admission bound
-        sheds the request, :class:`CircuitOpenError` when the breaker is
-        open and no surrogate exists, and :class:`DeadlineExceeded` when
-        the caller's budget lapses mid-request.
+        Raises :class:`OverloadedError` when admission sheds the request,
+        :class:`DeadlineExceeded` when the caller's budget lapses
+        mid-request, and the executor's own error when its primary path
+        fails and no surrogate can answer (e.g. :class:`CircuitOpenError`
+        in-process).
         """
         start = time.perf_counter()
         span = (
-            self.tracer.start_span("engine.predict")
+            self.tracer.start_span(self.executor.span_name)
             if self.tracer is not None
             else NOOP_SPAN
         )
         with span:
-            x = validate_config_matrix(configs)
+            x = np.atleast_2d(np.asarray(configs, dtype=float))
+            if x.ndim != 2 or x.shape[1] != len(INPUT_NAMES):
+                raise ValueError(
+                    f"configs must be (n, {len(INPUT_NAMES)}) in "
+                    f"{INPUT_NAMES} order, got shape {x.shape}"
+                )
+            if not np.all(np.isfinite(x)):
+                raise ValueError("configs must be finite numbers")
             if span is not NOOP_SPAN:
                 span.set_attribute("model", model_name)
                 span.set_attribute("n_configs", int(x.shape[0]))
 
             with self._lock:
-                if self._draining:
+                if self._draining or self._closed:
                     # Admission is closed: the caller should retry against
                     # another replica (503 + Retry-After at the HTTP layer).
-                    self.metrics.record_shed()
-                    raise OverloadedError(
-                        retry_after=self.retry_after_s,
-                        message="serving engine is draining",
-                    )
+                    raise self.shed("serving engine is draining")
                 self._inflight += 1
                 inflight = self._inflight
             try:
@@ -322,15 +330,18 @@ class ServingEngine:
                     self.shed_inflight is not None
                     and inflight > self.shed_inflight
                 ):
-                    self.metrics.record_shed()
-                    raise OverloadedError(retry_after=self.retry_after_s)
+                    raise self.shed()
                 soft_overloaded = (
                     self.max_inflight is not None
                     and inflight > self.max_inflight
                 )
-                result = self._predict_guarded(
-                    model_name, x, deadline, soft_overloaded
-                )
+                result = None
+                if soft_overloaded:
+                    result = self.answer_degraded(model_name, x)
+                if result is None:
+                    result = self.executor.predict(
+                        model_name, x, deadline, soft_overloaded
+                    )
             finally:
                 with self._lock:
                     self._inflight -= 1
@@ -352,24 +363,212 @@ class ServingEngine:
         """Single-configuration convenience; returns a length-5 vector."""
         return self.predict(model_name, [config])[0]
 
+    def shed(self, message: Optional[str] = None) -> OverloadedError:
+        """Count one shed request and return the error to raise for it."""
+        self.metrics.record_shed()
+        return OverloadedError(retry_after=self.retry_after_s, message=message)
+
+    # ------------------------------------------------------------------
+    # surrogate tier
+    # ------------------------------------------------------------------
+
+    def answer_degraded(
+        self, model_name: str, x: np.ndarray
+    ) -> Optional[PredictionResult]:
+        """The surrogate's answer, flagged degraded; ``None`` without one."""
+        surrogate = self._surrogates.get(model_name)
+        if surrogate is None:
+            return None
+        span = (
+            self.tracer.start_span(
+                "fallback.surrogate", attributes={"model": model_name}
+            )
+            if self.tracer is not None
+            else NOOP_SPAN
+        )
+        with span:
+            outputs = np.asarray(surrogate.model.predict(x), dtype=float)
+        return PredictionResult(outputs, degraded=True, source=_SURROGATE_SOURCE)
+
+    def refresh_surrogate(self, model_name: str, entry=None) -> None:
+        """(Re)fit ``model_name``'s surrogate from ``entry`` (or a registry
+        load) when its artifact changed.  The last good surrogate survives
+        later load failures — that is the whole point of having it.
+        """
+        if not self.fallback:
+            return
+        if entry is None:
+            try:
+                entry = self.registry.get_entry(model_name)
+            except Exception:  # noqa: BLE001 - artifact gone/corrupt: keep stale
+                return
+        current = self._surrogates.get(model_name)
+        if current is not None and current.mtime_ns == entry.mtime_ns:
+            return
+        try:
+            surrogate = fit_linear_surrogate(entry.model)
+        except Exception:  # noqa: BLE001 - fallback is best-effort
+            return
+        with self._lock:
+            self._surrogates[model_name] = _Surrogate(
+                mtime_ns=entry.mtime_ns, model=surrogate
+            )
+
+    # ------------------------------------------------------------------
+    # health
+    # ------------------------------------------------------------------
+
+    def health(self) -> dict:
+        """The ``/healthz`` payload: status plus the evidence behind it."""
+        models = self.list_models()
+        with self._lock:
+            inflight = self._inflight
+            draining = self._draining
+            fallbacks = sorted(self._surrogates)
+        shedding = (
+            self.shed_inflight is not None and inflight > self.shed_inflight
+        )
+        paths, servable, evidence = self.executor.health(models, fallbacks)
+        status = self.health_monitor.update(
+            paths, shedding=shedding, servable=servable
+        )
+        return {
+            "status": status,
+            "models": len(models),
+            **evidence,
+            "fallbacks": fallbacks,
+            "inflight": inflight,
+            "draining": draining,
+        }
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+
+    def start(self) -> "ServingEngine":
+        """Start the executor (spawn a worker pool); idempotent."""
+        self.executor.start()
+        return self
+
+    def reload(self, model_name: str) -> None:
+        """Hot-swap one model in the registry and the executor."""
+        self.registry.reload(model_name)
+        self.executor.reload(model_name)
+
+    @property
+    def draining(self) -> bool:
+        """Whether admission is closed (``/readyz`` answers not-ready)."""
+        with self._lock:
+            return self._draining
+
+    @property
+    def inflight(self) -> int:
+        """Requests currently past admission (drives the tuning shed tier)."""
+        with self._lock:
+            return self._inflight
+
+    def drain(self, timeout: float = 5.0) -> None:
+        """Graceful shutdown: refuse new work, finish everything queued.
+
+        Flips the engine into draining mode (new :meth:`predict` calls
+        shed with 503 + Retry-After and ``/readyz`` reports not-ready),
+        waits for the in-flight requests that already passed admission,
+        lets the executor finish the work it already queued within what
+        is left of ``timeout``, and flushes the trace exporter.  The
+        engine refuses new work afterwards; call it once, from the
+        SIGTERM / ``/admin/drain`` path.  Idempotent.
+        """
+        with self._lock:
+            if self._draining:
+                return
+            self._draining = True
+        deadline = time.monotonic() + max(0.0, float(timeout))
+        while time.monotonic() < deadline:
+            with self._lock:
+                if self._inflight == 0:
+                    break
+            time.sleep(0.005)
+        self.executor.drain(max(0.1, deadline - time.monotonic()))
+        if self._exporter is not None:
+            self._exporter.close()
+
+    def close(self) -> None:
+        """Stop the executor and flush the trace export."""
+        with self._lock:
+            self._closed = True
+        self.executor.close()
+        if self._exporter is not None:
+            self._exporter.close()
+
+    def __enter__(self) -> "ServingEngine":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _breaker_for(self, model_name: str) -> CircuitBreaker:
+        """The in-process executor's breaker for ``model_name``."""
+        return self.executor.breaker_for(model_name)
+
+
+class InProcessExecutor:
+    """Run predictions in the request thread: cache → batcher → model.
+
+    Each model's path sits behind its own :class:`CircuitBreaker`:
+    repeated artifact or model failures open it, and recovery is probed
+    half-open before the path is trusted again.
+    """
+
+    span_name = "engine.predict"
+
+    def __init__(
+        self,
+        engine: ServingEngine,
+        batching: bool,
+        max_batch_size: int,
+        max_wait_ms: float,
+        cache_size: int,
+        faults: Optional["FaultPlan"],
+        new_breaker: Callable[..., CircuitBreaker],
+    ):
+        self.batching = bool(batching)
+        self.max_batch_size = int(max_batch_size)
+        self.max_wait_ms = float(max_wait_ms)
+        self.cache = PredictionCache(cache_size)
+        self.faults = faults
+        self.engine = engine
+        self._new_breaker = new_breaker
+        self._batchers: Dict[str, MicroBatcher] = {}
+        self._breakers: Dict[str, CircuitBreaker] = {}
+        self._seen_mtimes: Dict[str, int] = {}
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def start(self) -> None:
+        """Nothing to spawn: batchers start on a model's first request."""
+
+    def describe(self) -> dict:
+        return {
+            "batching": self.batching,
+            "max_batch_size": self.max_batch_size,
+            "max_wait_ms": self.max_wait_ms,
+        }
+
     # ------------------------------------------------------------------
     # guarded prediction path
     # ------------------------------------------------------------------
 
-    def _predict_guarded(
+    def predict(
         self,
         model_name: str,
         x: np.ndarray,
         deadline: Optional[Deadline],
         soft_overloaded: bool,
     ) -> PredictionResult:
-        breaker = self._breaker_for(model_name)
-        surrogate = self._surrogates.get(model_name)
-        shortcut_to_fallback = (
-            soft_overloaded and self.fallback and surrogate is not None
-        )
+        engine = self.engine
+        breaker = self.breaker_for(model_name)
         primary_error: Optional[BaseException] = None
-        if not shortcut_to_fallback and breaker.allow():
+        if breaker.allow():
             try:
                 outputs = self._predict_primary(model_name, x, deadline)
             except KeyError:
@@ -388,25 +587,13 @@ class ServingEngine:
             else:
                 breaker.record_success()
                 return PredictionResult(outputs, degraded=False, source="mlp")
-        surrogate = self._surrogates.get(model_name)
-        if self.fallback and surrogate is not None:
-            fallback_span = (
-                self.tracer.start_span(
-                    "fallback.surrogate", attributes={"model": model_name}
-                )
-                if self.tracer is not None
-                else NOOP_SPAN
-            )
-            with fallback_span:
-                outputs = np.asarray(surrogate.model.predict(x), dtype=float)
-            return PredictionResult(
-                outputs, degraded=True, source=_SURROGATE_SOURCE
-            )
+        degraded = engine.answer_degraded(model_name, x)
+        if degraded is not None:
+            return degraded
         if primary_error is not None:
             raise primary_error
         if soft_overloaded:
-            self.metrics.record_shed()
-            raise OverloadedError(retry_after=self.retry_after_s)
+            raise engine.shed()
         error = CircuitOpenError(
             retry_after=max(breaker.retry_after(), 0.05),
             message=(
@@ -414,10 +601,10 @@ class ServingEngine:
                 f"fallback; retry after {breaker.retry_after():.2f}s"
             ),
         )
-        if self.tracer is not None:
+        if engine.tracer is not None:
             # A refused call has no duration worth measuring; record the
             # rejection itself so the trace shows *why* nothing ran.
-            self.tracer.record_span(
+            engine.tracer.record_span(
                 "breaker.rejected",
                 duration_s=0.0,
                 status=STATUS_ERROR,
@@ -435,17 +622,18 @@ class ServingEngine:
         """The original cache → batcher → model path (may raise freely)."""
         if deadline is not None:
             deadline.check("predict")
-        entry = self.registry.get_entry(model_name)  # KeyError if unknown
+        entry = self.engine.registry.get_entry(model_name)  # KeyError if unknown
         self._note_mtime(model_name, entry.mtime_ns)
-        self._ensure_surrogate(model_name, entry)
+        self.engine.refresh_surrogate(model_name, entry)
         model = entry.model
+        tracer = self.engine.tracer
         out = np.empty((x.shape[0], len(OUTPUT_NAMES)), dtype=float)
         miss_rows: List[int] = []
         # A disabled cache (max_entries=0) always misses; a span around
         # it would be pure hot-path overhead with no information.
         cache_span = (
-            self.tracer.start_span("cache.lookup")
-            if self.tracer is not None and self.cache.max_entries > 0
+            tracer.start_span("cache.lookup")
+            if tracer is not None and self.cache.max_entries > 0
             else NOOP_SPAN
         )
         with cache_span:
@@ -509,7 +697,7 @@ class ServingEngine:
         the split micro-batching otherwise hides: time spent waiting for
         stragglers vs time inside the vectorized predict.
         """
-        tracer = self.tracer
+        tracer = self.engine.tracer
         if tracer is None:
             return
         parent = tracer.current_span()
@@ -539,112 +727,48 @@ class ServingEngine:
             )
 
     # ------------------------------------------------------------------
-    # health
+    # health and lifecycle
     # ------------------------------------------------------------------
 
-    def health(self) -> dict:
-        """The ``/healthz`` payload: status plus the evidence behind it."""
-        models = self.list_models()
+    def health(self, models: List[str], fallbacks: List[str]):
         breakers = {
             name: breaker.state for name, breaker in self._breakers.items()
         }
-        with self._lock:
-            inflight = self._inflight
-            closed = self._closed
-        shedding = (
-            self.shed_inflight is not None and inflight > self.shed_inflight
-        )
         open_without_fallback = [
             name
             for name, state in breakers.items()
-            if state == OPEN
-            and not (self.fallback and name in self._surrogates)
+            if state == OPEN and name not in fallbacks
         ]
         servable = (
-            not closed
+            not self._closed
             and bool(models)
             and (not breakers or len(open_without_fallback) < len(breakers))
         )
-        status = self.health_monitor.update(
-            breakers, shedding=shedding, servable=servable
-        )
-        return {
-            "status": status,
-            "models": len(models),
-            "breakers": breakers,
-            "fallbacks": sorted(self._surrogates),
-            "inflight": inflight,
-            "draining": self._draining,
-        }
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
+        return breakers, servable, {"breakers": breakers}
 
     def reload(self, model_name: str) -> None:
-        """Hot-swap one model and drop its now-stale cached predictions."""
-        self.registry.reload(model_name)
+        """Drop the model's now-stale cached predictions and batcher."""
         self.cache.invalidate_model(model_name)
         with self._lock:
             batcher = self._batchers.pop(model_name, None)
         if batcher is not None:
             batcher.close()
 
-    @property
-    def draining(self) -> bool:
-        """Whether admission is closed (``/readyz`` answers not-ready)."""
-        with self._lock:
-            return self._draining
-
-    @property
-    def inflight(self) -> int:
-        """Requests currently past admission (drives the tuning shed tier)."""
-        with self._lock:
-            return self._inflight
-
-    def drain(self, timeout: float = 5.0) -> None:
-        """Graceful shutdown: refuse new work, finish everything queued.
-
-        Flips the engine into draining mode (new :meth:`predict` calls
-        shed with 503 + Retry-After and ``/readyz`` reports not-ready),
-        waits for the in-flight requests that already passed admission,
-        completes every future already queued on the micro-batchers
-        (``close(drain=True)``), and flushes the trace exporter.  The
-        engine refuses new work afterwards; call it once, from the
-        SIGTERM / ``/admin/drain`` path.  Idempotent.
-        """
-        with self._lock:
-            if self._draining:
-                return
-            self._draining = True
-            batchers, self._batchers = list(self._batchers.values()), {}
-            self._closed = True
-        deadline = time.monotonic() + max(0.0, float(timeout))
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self._inflight == 0:
-                    break
-            time.sleep(0.005)
-        for batcher in batchers:
+    def drain(self, timeout: float) -> None:
+        """Complete every future already queued on the micro-batchers."""
+        for batcher in self._detach_batchers():
             batcher.close(timeout=timeout, drain=True)
-        if self._exporter is not None:
-            self._exporter.close()
 
     def close(self) -> None:
-        """Stop every batcher worker thread and flush the trace export."""
+        """Stop every batcher worker thread."""
+        for batcher in self._detach_batchers():
+            batcher.close()
+
+    def _detach_batchers(self) -> List[MicroBatcher]:
         with self._lock:
             batchers, self._batchers = list(self._batchers.values()), {}
             self._closed = True
-        for batcher in batchers:
-            batcher.close()
-        if self._exporter is not None:
-            self._exporter.close()
-
-    def __enter__(self) -> "ServingEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return batchers
 
     # ------------------------------------------------------------------
 
@@ -656,46 +780,20 @@ class ServingEngine:
         if previous is not None and previous != mtime_ns:
             self.cache.invalidate_model(model_name)
 
-    def _ensure_surrogate(self, model_name: str, entry) -> None:
-        """(Re)fit the fallback surrogate when the artifact changes.
-
-        Registration-time distillation: the surrogate is fit from the
-        loaded MLP the first time an artifact version serves, and the last
-        good surrogate survives later load failures — that is the whole
-        point of having it.
-        """
-        if not self.fallback:
-            return
-        current = self._surrogates.get(model_name)
-        if current is not None and current.mtime_ns == entry.mtime_ns:
-            return
-        try:
-            surrogate = fit_linear_surrogate(entry.model)
-        except Exception:  # noqa: BLE001 - fallback is best-effort
-            return
-        with self._lock:
-            self._surrogates[model_name] = _Surrogate(
-                mtime_ns=entry.mtime_ns, model=surrogate
-            )
-
-    def _breaker_for(self, model_name: str) -> CircuitBreaker:
+    def breaker_for(self, model_name: str) -> CircuitBreaker:
+        metrics = self.engine.metrics
         with self._lock:
             breaker = self._breakers.get(model_name)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    window=self.breaker_window,
-                    failure_threshold=self.breaker_failure_threshold,
-                    min_samples=self.breaker_min_samples,
-                    reset_timeout=self.breaker_reset_timeout,
-                    clock=self.clock,
+                breaker = self._new_breaker(
                     name=model_name,
                     on_state_change=(
                         lambda old, new, name=model_name:
-                        self.metrics.set_breaker_state(name, new)
+                        metrics.set_breaker_state(name, new)
                     ),
                 )
                 self._breakers[model_name] = breaker
-                self.metrics.set_breaker_state(model_name, breaker.state)
+                metrics.set_breaker_state(model_name, breaker.state)
             return breaker
 
     def _batcher_for(self, model_name: str) -> MicroBatcher:
@@ -706,11 +804,12 @@ class ServingEngine:
             if batcher is None:
                 # The batcher resolves the model per flush so a hot
                 # reload takes effect without restarting the worker.
+                registry = self.engine.registry
                 batcher = MicroBatcher(
-                    lambda batch: self.registry.get(model_name).predict(batch),
+                    lambda batch: registry.get(model_name).predict(batch),
                     max_batch_size=self.max_batch_size,
                     max_wait_ms=self.max_wait_ms,
-                    on_batch=self.metrics.record_batch,
+                    on_batch=self.engine.metrics.record_batch,
                     faults=self.faults,
                 )
                 self._batchers[model_name] = batcher

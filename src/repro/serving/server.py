@@ -173,6 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.headers.get(REQUEST_ID_HEADER) or uuid.uuid4().hex[:16]
         )
         self._trace_id: Optional[str] = None
+        self._span = NOOP_SPAN
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         self._begin_request()
@@ -197,9 +198,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "models": engine.list_models(),
                     "inputs": INPUT_NAMES,
                     "outputs": OUTPUT_NAMES,
-                    "batching": engine.batching,
-                    "max_batch_size": engine.max_batch_size,
-                    "max_wait_ms": engine.max_wait_ms,
+                    **engine.executor.describe(),
                 },
             )
         elif parsed.path == "/metrics":
@@ -315,6 +314,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._trace_id = span.trace_id
         else:
             span = NOOP_SPAN
+        self._span = span
         with span:
             if path == "/recommend":
                 self._handle_recommend(engine, span)
@@ -526,6 +526,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(TRACE_ID_HEADER, trace_id)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        # End the request span before the first response byte leaves: a
+        # client holding its answer must find the server's span recorded.
+        getattr(self, "_span", NOOP_SPAN).end()
         self.end_headers()
         self.wfile.write(body)
 
@@ -630,10 +633,10 @@ def create_server(
 ) -> ServingHTTPServer:
     """Build a server around an engine (or a model-directory path).
 
-    ``engine`` may be any object implementing the serving-engine duck
-    type — the in-process :class:`ServingEngine` or a started
-    :class:`~repro.cluster.engine.ClusterEngine` alike; a string or path
-    is shorthand for an in-process engine over that directory.
+    ``engine`` is a :class:`ServingEngine` — in-process, or a started
+    :class:`~repro.cluster.engine.ClusterEngine` over a worker pool; a
+    string or path is shorthand for an in-process engine over that
+    directory.
     """
     if isinstance(engine, (str, Path)):
         engine = ServingEngine(engine)

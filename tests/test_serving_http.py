@@ -350,3 +350,24 @@ class TestTruncatedResponse:
             assert server.connections == 2
         finally:
             server.close()
+
+
+class TestClientDeadline:
+    def test_socket_timeout_past_the_deadline_is_a_504(self):
+        """A server that never answers costs the caller its deadline and
+        no more, and the caller sees the same 504 the server would send."""
+        release = threading.Event()
+
+        def never_answer(conn, _request):
+            release.wait(10.0)
+
+        server = _ScriptedServer([never_answer])
+        try:
+            client = ServingClient(server.url, timeout=5.0)
+            with pytest.raises(ServingError) as excinfo:
+                client.predict("paper", GOOD_CONFIG, deadline_s=0.05)
+            assert excinfo.value.status == 504
+            assert excinfo.value.request_id
+        finally:
+            release.set()
+            server.close()
